@@ -269,7 +269,9 @@ type asyncWorker[M any] struct {
 	procTime  time.Duration
 	processed int64
 	produced  int64
-	counters  map[string]int64
+	// counters holds the worker's counter tallies since the last merge,
+	// folded in from its context at the end of every burst.
+	counters []int64
 }
 
 // asyncAttempt is one incarnation of the async plane: fresh queues, fresh
@@ -339,7 +341,7 @@ func newAsyncAttempt[M any](cfg *Config, prog Program[M], stats *RunStats, abort
 	}
 	a.epochNum.Store(int64(stats.Supersteps) + 1)
 	for w := 0; w < k; w++ {
-		wk := &asyncWorker[M]{id: w, counters: map[string]int64{}}
+		wk := &asyncWorker[M]{id: w, counters: newTally(cfg)}
 		wk.cond = sync.NewCond(&wk.mu)
 		if queues != nil && w < len(queues) {
 			wk.queue = append([]Envelope[M](nil), queues[w]...)
@@ -552,17 +554,14 @@ func (a *asyncAttempt[M]) mergeDeltas() {
 	for w, wk := range a.workers {
 		wk.mu.Lock()
 		row[w] = wk.procTime
-		if wk.procTime != 0 || wk.processed != 0 || wk.produced != 0 || len(wk.counters) > 0 {
+		if wk.procTime != 0 || wk.processed != 0 || wk.produced != 0 || anyNonzero(wk.counters) {
 			dirty = true
 		}
 		a.stats.WorkerTime[w] += wk.procTime
 		a.stats.WorkerMessages[w] += wk.processed
 		produced += wk.produced
 		processed += wk.processed
-		for name, v := range wk.counters {
-			a.stats.Counters[name] += v
-			delete(wk.counters, name)
-		}
+		foldCounters(a.stats.Counters, a.cfg, wk.counters)
 		wk.procTime, wk.processed, wk.produced = 0, 0, 0
 		wk.mu.Unlock()
 	}
@@ -584,12 +583,23 @@ func (a *asyncAttempt[M]) noteBurst(wk *asyncWorker[M], wctx *Context[M], dt tim
 	wk.procTime += dt
 	wk.processed += processed
 	wk.produced += wctx.sent
-	for name, v := range wctx.local {
-		wk.counters[name] += v
-		delete(wctx.local, name)
+	for id, v := range wctx.counters {
+		if v != 0 {
+			wk.counters[id] += v
+			wctx.counters[id] = 0
+		}
 	}
 	wk.mu.Unlock()
 	wctx.sent = 0
+}
+
+func anyNonzero(tally []int64) bool {
+	for _, v := range tally {
+		if v != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func outDirty[M any](wctx *Context[M]) bool {
@@ -682,12 +692,12 @@ func (a *asyncAttempt[M]) workerLoop(w int) {
 	defer a.wg.Done()
 	wk := a.workers[w]
 	wctx := &Context[M]{
-		worker:  w,
-		step:    0,
-		cfg:     a.cfg,
-		out:     make([][]Envelope[M], a.k),
-		local:   map[string]int64{},
-		aborted: a.abortPtr,
+		worker:   w,
+		step:     0,
+		cfg:      a.cfg,
+		out:      make([][]Envelope[M], a.k),
+		counters: newTally(a.cfg),
+		aborted:  a.abortPtr,
 	}
 	if !a.seeded {
 		start := time.Now()

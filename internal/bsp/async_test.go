@@ -103,6 +103,34 @@ func newTestAttempt(t *testing.T, cfg *Config, prog Program[int], seeded bool) *
 	return newAsyncAttempt[int](cfg, prog, stats, &abortPtr, nil, seeded, 100)
 }
 
+// TestAsyncBurstFoldZeroAllocs pins the async plane's burst-end counter fold
+// at zero allocations: a burst's tallies move from the worker's context into
+// its guarded deltas as plain array adds, and names are attached only when
+// mergeDeltas folds the deltas into RunStats.
+func TestAsyncBurstFoldZeroAllocs(t *testing.T) {
+	cfg := &Config{Workers: 2, Counters: []string{"a", "b"}}
+	prog := &funcProgram[int]{
+		init:    func(*Context[int]) {},
+		process: func(*Context[int], Envelope[int]) {},
+	}
+	a := newTestAttempt(t, cfg, prog, true)
+	wk := a.workers[0]
+	wctx := &Context[int]{cfg: cfg, out: make([][]Envelope[int], cfg.Workers), counters: newTally(cfg)}
+	avg := testing.AllocsPerRun(200, func() {
+		wctx.Add(0, 1)
+		wctx.Add(1, 3)
+		a.noteBurst(wk, wctx, time.Microsecond, 2)
+	})
+	if avg != 0 {
+		t.Errorf("burst-end fold allocates %.1f/op, want 0", avg)
+	}
+	a.mergeDeltas()
+	// AllocsPerRun makes one warm-up call before its 200 measured ones.
+	if got := a.stats.Counters; got["a"] != 201 || got["b"] != 603 || len(got) != 2 {
+		t.Errorf("merged counters = %v, want map[a:201 b:603]", got)
+	}
+}
+
 func TestAsyncAckAlwaysNudgesCoordinator(t *testing.T) {
 	// Regression: ack() used to nudge the coordinator only when a checkpoint
 	// was due or a pause was in progress. The final ack — the one that brings

@@ -13,12 +13,12 @@ import "sync/atomic"
 func NewBenchContext[M any](cfg Config, worker, step int) *Context[M] {
 	var abort atomic.Pointer[error]
 	return &Context[M]{
-		worker:  worker,
-		step:    step,
-		cfg:     &cfg,
-		out:     make([][]Envelope[M], cfg.Workers),
-		local:   map[string]int64{},
-		aborted: &abort,
+		worker:   worker,
+		step:     step,
+		cfg:      &cfg,
+		out:      make([][]Envelope[M], cfg.Workers),
+		counters: newTally(&cfg),
+		aborted:  &abort,
 	}
 }
 
@@ -34,6 +34,10 @@ func (c *Context[M]) ResetSends() {
 // SentCount reports how many messages have been sent through the context
 // since the last ResetSends (for bench-harness sanity checks).
 func (c *Context[M]) SentCount() int64 { return c.sent }
+
+// Counter returns the context's tally of counter id (an index into
+// Config.Counters) since it was created.
+func (c *Context[M]) Counter(id int) int64 { return c.counters[id] }
 
 // Sends returns the messages currently buffered for worker w, so a bench
 // harness can feed one phase's output into the next. The slice aliases the

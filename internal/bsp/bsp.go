@@ -116,6 +116,13 @@ type Config struct {
 	// inboxes stay expanded (frames are consumed as they arrive); with the
 	// in-process async exchange there are no frames at all, so it is a no-op.
 	CompressFrames bool
+	// Counters names the program's counters: Context.Add(id, n) adds n to
+	// counter Counters[id]. Each worker tallies into a plain array indexed by
+	// id; names are attached only where those arrays are folded into
+	// RunStats.Counters (at each barrier in strict mode, at each quiescence
+	// point and at teardown in async mode), and only counters with a nonzero
+	// total appear there.
+	Counters []string
 	// Observer receives the run's metrics and trace events (superstep
 	// timings, exchange volume, transport frames and bytes, checkpoint and
 	// recovery events). Nil disables observation entirely; every hook is a
@@ -151,13 +158,15 @@ type Snapshotter interface {
 // Context is the per-worker, per-superstep API surface available to a
 // Program. It is not safe to retain across supersteps.
 type Context[M any] struct {
-	worker  int
-	step    int
-	cfg     *Config
-	out     [][]Envelope[M] // out[w] = messages destined to worker w
-	sent    int64
-	local   map[string]int64
-	aborted *atomic.Pointer[error]
+	worker int
+	step   int
+	cfg    *Config
+	out    [][]Envelope[M] // out[w] = messages destined to worker w
+	sent   int64
+	// counters[id] tallies Config.Counters[id]; bsp's own builtinCounters
+	// follow the program's.
+	counters []int64
+	aborted  *atomic.Pointer[error]
 }
 
 // Worker returns this worker's id in [0, Workers).
@@ -173,10 +182,41 @@ func (c *Context[M]) Send(dest graph.VertexID, msg M) {
 	c.sent++
 }
 
-// AddCounter accumulates a named global counter; counters from all workers
-// are merged at each barrier and reported in RunStats.
-func (c *Context[M]) AddCounter(name string, delta int64) {
-	c.local[name] += delta
+// Add adds n to counter id, an index into Config.Counters. Counters from all
+// workers are summed by name into RunStats.Counters.
+func (c *Context[M]) Add(id int, n int64) { c.counters[id] += n }
+
+// builtinCounters are the counters bsp itself feeds. Their ids follow the
+// program's Config.Counters in every tally array.
+var builtinCounters = [...]string{"compressed_frames", "compressed_wire_bytes", "compressed_raw_bytes"}
+
+const (
+	ctrCompressedFrames = iota
+	ctrCompressedWireBytes
+	ctrCompressedRawBytes
+)
+
+// addBuiltin adds n to one of bsp's own counters.
+func (c *Context[M]) addBuiltin(id int, n int64) { c.counters[len(c.cfg.Counters)+id] += n }
+
+// newTally returns a zeroed tally array for cfg's counter table.
+func newTally(cfg *Config) []int64 {
+	return make([]int64, len(cfg.Counters)+len(builtinCounters))
+}
+
+// foldCounters adds every nonzero tally to dst under its name and zeroes it.
+func foldCounters(dst map[string]int64, cfg *Config, tally []int64) {
+	for id, v := range tally {
+		if v == 0 {
+			continue
+		}
+		if id < len(cfg.Counters) {
+			dst[cfg.Counters[id]] += v
+		} else {
+			dst[builtinCounters[id-len(cfg.Counters)]] += v
+		}
+		tally[id] = 0
+	}
 }
 
 // Abort stops the computation: every worker short-circuits the remainder of
@@ -330,10 +370,13 @@ func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats
 		}
 	}()
 
+	tallies := make([][]int64, k)
+	for w := range tallies {
+		tallies[w] = newTally(&cfg)
+	}
 	runStep := func(stepCtx context.Context, step int) (outAll [][][]Envelope[M], produced int64) {
 		outAll = make([][][]Envelope[M], k)
 		stepTimes := make([]time.Duration, k)
-		counterSets := make([]map[string]int64, k)
 		var wg sync.WaitGroup
 		var producedAtomic, processedAtomic atomic.Int64
 		done := stepCtx.Done()
@@ -342,12 +385,12 @@ func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats
 			go func(w int) {
 				defer wg.Done()
 				ctx := &Context[M]{
-					worker:  w,
-					step:    step,
-					cfg:     &cfg,
-					out:     make([][]Envelope[M], k),
-					local:   map[string]int64{},
-					aborted: &abortPtr,
+					worker:   w,
+					step:     step,
+					cfg:      &cfg,
+					out:      make([][]Envelope[M], k),
+					counters: tallies[w],
+					aborted:  &abortPtr,
 				}
 				start := time.Now()
 				processed := int64(0)
@@ -358,7 +401,6 @@ func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats
 				}
 				stepTimes[w] = time.Since(start)
 				outAll[w] = ctx.out
-				counterSets[w] = ctx.local
 				producedAtomic.Add(ctx.sent)
 				processedAtomic.Add(processed)
 				stats.WorkerMessages[w] += processed
@@ -367,9 +409,7 @@ func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats
 		wg.Wait()
 		for w := 0; w < k; w++ {
 			stats.WorkerTime[w] += stepTimes[w]
-			for name, v := range counterSets[w] {
-				stats.Counters[name] += v
-			}
+			foldCounters(stats.Counters, &cfg, tallies[w])
 		}
 		stats.PerStepWorkerTime = append(stats.PerStepWorkerTime, stepTimes)
 		cfg.Observer.StepComputed(step, stepTimes, processedAtomic.Load(), producedAtomic.Load())

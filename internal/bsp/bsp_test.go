@@ -29,7 +29,7 @@ func (p *echoProgram) Init(ctx *Context[int]) {
 }
 
 func (p *echoProgram) Process(ctx *Context[int], env Envelope[int]) {
-	ctx.AddCounter("delivered", 1)
+	ctx.Add(0, 1) // "delivered"
 	p.mu.Lock()
 	p.seen[env.Dest]++
 	p.mu.Unlock()
@@ -41,7 +41,7 @@ func (p *echoProgram) Process(ctx *Context[int], env Envelope[int]) {
 func newEcho(vertices, ttl, workers int) (*echoProgram, Config) {
 	part := graph.NewPartition(workers, 7)
 	prog := &echoProgram{vertices: vertices, ttl: ttl, part: part, seen: map[graph.VertexID]int{}}
-	cfg := Config{Workers: workers, Owner: func(v graph.VertexID) int { return part.Owner(v) }}
+	cfg := Config{Workers: workers, Owner: func(v graph.VertexID) int { return part.Owner(v) }, Counters: []string{"delivered"}}
 	return prog, cfg
 }
 

@@ -418,9 +418,9 @@ func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M]
 			ctx.Abort(fmt.Errorf("corrupt compressed inbox frame: %w", err))
 			return processed
 		}
-		ctx.AddCounter("compressed_frames", 1)
-		ctx.AddCounter("compressed_wire_bytes", int64(4+len(fp)))
-		ctx.AddCounter("compressed_raw_bytes", int64(raw))
+		ctx.addBuiltin(ctrCompressedFrames, 1)
+		ctx.addBuiltin(ctrCompressedWireBytes, int64(4+len(fp)))
+		ctx.addBuiltin(ctrCompressedRawBytes, int64(raw))
 		if gprog != nil {
 			gprog.ProcessGroup(ctx, batch)
 			processed += int64(len(batch))

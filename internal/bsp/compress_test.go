@@ -360,7 +360,7 @@ func (p *fanProgram) Process(ctx *Context[groupMsg], env Envelope[groupMsg]) {
 	p.mu.Lock()
 	p.received = append(p.received, env)
 	p.mu.Unlock()
-	ctx.AddCounter("delivered", 1)
+	ctx.Add(0, 1) // "delivered"
 	if int(env.Msg.Flag) < p.rounds {
 		m := env.Msg
 		m.Flag++
@@ -376,6 +376,7 @@ func runFan(t *testing.T, compress, async bool, factory ExchangeFactory) ([]Enve
 	cfg := Config{
 		Workers:        3,
 		Owner:          func(v graph.VertexID) int { return part.Owner(v) },
+		Counters:       []string{"delivered"},
 		Exchange:       factory,
 		AsyncExchange:  async,
 		CompressFrames: compress,
@@ -425,6 +426,7 @@ func TestCompressedTCPObserverCounters(t *testing.T) {
 	cfg := Config{
 		Workers:        3,
 		Owner:          func(v graph.VertexID) int { return part.Owner(v) },
+		Counters:       []string{"delivered"},
 		Exchange:       NewTCPExchangeFactory(),
 		CompressFrames: true,
 		Observer:       o,

@@ -35,7 +35,7 @@ func TestAbortNilErrorStillAborts(t *testing.T) {
 func TestCountersMergeAcrossWorkersAndSteps(t *testing.T) {
 	prog := &funcProgram[int]{
 		init: func(ctx *Context[int]) {
-			ctx.AddCounter("init", 1)
+			ctx.Add(0, 1) // "init"
 			if ctx.Worker() == 0 {
 				for v := 0; v < 30; v++ {
 					ctx.Send(graph.VertexID(v), 2)
@@ -43,14 +43,14 @@ func TestCountersMergeAcrossWorkersAndSteps(t *testing.T) {
 			}
 		},
 		process: func(ctx *Context[int], env Envelope[int]) {
-			ctx.AddCounter("seen", int64(env.Msg))
+			ctx.Add(1, int64(env.Msg)) // "seen"
 			if env.Msg > 1 {
 				ctx.Send(env.Dest, env.Msg-1)
 			}
 		},
 	}
 	part := graph.NewPartition(3, 5)
-	cfg := Config{Workers: 3, Owner: func(v graph.VertexID) int { return part.Owner(v) }}
+	cfg := Config{Workers: 3, Owner: func(v graph.VertexID) int { return part.Owner(v) }, Counters: []string{"init", "seen"}}
 	stats, err := Run[int](cfg, prog)
 	if err != nil {
 		t.Fatal(err)

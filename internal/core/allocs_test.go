@@ -9,6 +9,7 @@ package core
 import (
 	"testing"
 
+	"psgl/internal/bsp"
 	"psgl/internal/pattern"
 )
 
@@ -22,8 +23,8 @@ func TestExpandSteadyStateZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Warm up: grow scratch frames, counter map entries, send-buffer
-			// capacity, and the per-step load slots.
+			// Warm up: grow scratch frames, send-buffer capacity, and the
+			// per-step load slots.
 			for _, env := range inbox {
 				e.Process(ctx, env)
 			}
@@ -62,6 +63,44 @@ func TestExpandLocalExpansionSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("inline expansion allocates %.1f/op in steady state, want 0", avg)
+	}
+}
+
+func TestExpandHubBitsetSteadyStateZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation profiling in -short mode")
+	}
+	// Second-level diamond Gpsis have a WHITE vertex with two mapped
+	// neighbors; with the hub threshold lowered to 16 the skewed harness
+	// graph's hubs take the bitset AND path of candidate generation.
+	e, ctx1, inbox, err := newHotpathHarnessOpts(pattern.Diamond(), func(o *Options) {
+		o.BitmapMinDegree = 16
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, env := range inbox {
+		e.Process(ctx1, env)
+	}
+	inbox2 := append([]bsp.Envelope[gpsi](nil), ctx1.Sends(0)...)
+	if len(inbox2) == 0 {
+		t.Fatal("no second-level messages for worker 0")
+	}
+	ctx := bsp.NewBenchContext[gpsi](e.benchConfig(), 0, 2)
+	for _, env := range inbox2 {
+		e.Process(ctx, env)
+	}
+	if ctx.Counter(ctrBitsetAnd) == 0 {
+		t.Fatal("warm-up never took the bitset AND path")
+	}
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		ctx.ResetSends()
+		e.Process(ctx, inbox2[i%len(inbox2)])
+		i++
+	})
+	if avg != 0 {
+		t.Errorf("hub expansion allocates %.1f/op in steady state, want 0", avg)
 	}
 }
 

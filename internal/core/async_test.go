@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"psgl/internal/bsp"
+	"psgl/internal/centralized"
 	"psgl/internal/gen"
+	"psgl/internal/obs"
 	"psgl/internal/pattern"
 )
 
@@ -121,5 +124,53 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 	if strictRes.Count != asyncRes.Count {
 		t.Fatalf("recovered async count %d != strict %d (recoveries=%d)",
 			asyncRes.Count, strictRes.Count, asyncRes.Stats.Recoveries)
+	}
+}
+
+// TestAsyncProbabilisticFaultsRecoverExact runs the async plane over the
+// probabilistic fault injector, which draws an error, a drop or a delay per
+// wire frame from one seeded stream shared by all senders, with quiescence
+// checkpoints and in-run recovery. Whichever frames the stream hits, the
+// recovered run must report the centralized oracle's count, and the results
+// counter — tallied per worker and folded at every burst end, then rolled
+// back with each restored snapshot — must agree in Stats and in the
+// observer's mirror.
+func TestAsyncProbabilisticFaultsRecoverExact(t *testing.T) {
+	g := gen.ChungLu(300, 1200, 2.0, 5)
+	p := pattern.PG3()
+	want := centralized.CountInstances(p, g)
+	factory := bsp.NewFaultyExchangeFactory(nil, bsp.FaultConfig{
+		Seed:      4,
+		ErrorRate: 0.3,
+		DropRate:  0.2,
+		DelayRate: 0.2,
+		MaxDelay:  time.Millisecond,
+		MaxFaults: 3,
+	})
+	o := obs.New(obs.NewRing(64))
+	res, err := Run(g, p, Options{
+		Workers:         3,
+		Seed:            7,
+		Exchange:        factory,
+		AsyncExchange:   true,
+		CheckpointEvery: 1,
+		CheckpointStore: bsp.NewMemCheckpointStore(),
+		MaxRecoveries:   3,
+		Observer:        o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Recoveries == 0 {
+		t.Fatal("no recovery ran: the fault stream injected no error or drop")
+	}
+	if res.Count != want {
+		t.Errorf("count %d after %d recoveries, oracle %d", res.Count, res.Stats.Recoveries, want)
+	}
+	if res.Stats.Results != want {
+		t.Errorf("results counter %d, oracle %d", res.Stats.Results, want)
+	}
+	if got := o.Counters()["results"]; got != want {
+		t.Errorf("observer results counter %d, oracle %d", got, want)
 	}
 }

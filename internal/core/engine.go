@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -74,6 +75,7 @@ func RunContext(ctx context.Context, g *graph.Graph, p *pattern.Pattern, opts Op
 		CheckpointStore: opts.CheckpointStore,
 		ResumeFrom:      opts.ResumeFrom,
 		MaxRecoveries:   opts.MaxRecoveries,
+		Counters:        counterNames[:],
 		Observer:        opts.Observer,
 	}
 	start := time.Now()
@@ -97,6 +99,45 @@ func RunContext(ctx context.Context, g *graph.Graph, p *pattern.Pattern, opts Op
 // instances have been found; RunContext converts it back into a successful,
 // truncated result.
 var errEarlyStop = errors.New("psgl: result limit reached")
+
+// Counter ids of the engine's bsp.Context tallies. counterNames gives each
+// its RunStats.Counters key, which buildResult reads back into Stats.
+const (
+	ctrGenerated = iota
+	ctrProcessed
+	ctrInline
+	ctrResults
+	ctrPrunedDegree
+	ctrPrunedLabel
+	ctrPrunedOrder
+	ctrPrunedIndex
+	ctrPrunedInjective
+	ctrPrunedVerify
+	ctrPrunedFilter
+	ctrIndexQueries
+	ctrBitsetAnd
+	ctrGroupRuns
+	ctrGroupMembers
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	ctrGenerated:       "generated",
+	ctrProcessed:       "processed",
+	ctrInline:          "inline",
+	ctrResults:         "results",
+	ctrPrunedDegree:    "pruned_degree",
+	ctrPrunedLabel:     "pruned_label",
+	ctrPrunedOrder:     "pruned_order",
+	ctrPrunedIndex:     "pruned_index",
+	ctrPrunedInjective: "pruned_injective",
+	ctrPrunedVerify:    "pruned_verify",
+	ctrPrunedFilter:    "pruned_filter",
+	ctrIndexQueries:    "index_queries",
+	ctrBitsetAnd:       "bitset_and",
+	ctrGroupRuns:       "group_runs",
+	ctrGroupMembers:    "group_members",
+}
 
 // engine implements bsp.Program[gpsi] (and bsp.Snapshotter, so its
 // accumulators ride barrier snapshots and stay exactly-once under recovery).
@@ -127,14 +168,19 @@ type engine struct {
 	// Per-worker state; index w is touched only by worker w's goroutine
 	// (bsp guarantees one goroutine per worker per superstep, with barriers
 	// establishing happens-before between supersteps).
-	rngs    []*xorshift
-	wviews  [][]float64     // workload-aware local views of all workers' loads
+	rngs   []*xorshift
+	wviews [][]float64 // workload-aware local views of all workers' loads
+	// wpow[w][j] caches wviews[w][j]^Alpha, the load term of the
+	// workload-aware score; chargeView keeps it in step with wviews.
+	wpow    [][]float64
 	loads   []float64       // actual accumulated cost-model load units
 	scratch []workerScratch // reusable expansion buffers (zero-alloc hot path)
 	// stepLoads[w][s] is worker w's load units in superstep s (grown only by
 	// worker w), the basis of the Equation 3 load makespan.
 	stepLoads [][]float64
 
+	// generated counts created Gpsis against MaxIntermediate; it is only
+	// touched when a budget is set.
 	generated atomic.Int64
 	oomErr    atomic.Pointer[error]
 	// results counts emitted instances when MaxResults > 0; stopped latches
@@ -235,12 +281,15 @@ func newEngine(g *graph.Graph, p *pattern.Pattern, opts Options) (*engine, error
 	}
 	e.rngs = make([]*xorshift, opts.Workers)
 	e.wviews = make([][]float64, opts.Workers)
+	e.wpow = make([][]float64, opts.Workers)
 	e.loads = make([]float64, opts.Workers)
 	e.scratch = make([]workerScratch, opts.Workers)
 	e.stepLoads = make([][]float64, opts.Workers)
 	for w := 0; w < opts.Workers; w++ {
 		e.rngs[w] = newXorshift(workerRngSeed(opts.Seed, w))
 		e.wviews[w] = make([]float64, opts.Workers)
+		e.wpow[w] = make([]float64, opts.Workers)
+		e.refreshViewPow(w)
 	}
 	return e, nil
 }
@@ -293,11 +342,11 @@ func (e *engine) Init(ctx *bsp.Context[gpsi]) {
 	minDeg := e.p.Degree(e.initial)
 	for _, vd := range e.owned[w] {
 		if e.g.Degree(vd) < minDeg {
-			ctx.AddCounter("pruned_degree", 1)
+			ctx.Add(ctrPrunedDegree, 1)
 			continue
 		}
 		if e.opts.DataLabels != nil && int(e.opts.DataLabels[vd]) != e.p.Label(e.initial) {
-			ctx.AddCounter("pruned_label", 1)
+			ctx.Add(ctrPrunedLabel, 1)
 			continue
 		}
 		m := e.proto
@@ -332,11 +381,11 @@ func (e *engine) seedGpsi(ctx *bsp.Context[gpsi], s Seed) (gpsi, bool) {
 	for i, pv := range s.PatternVertices {
 		dv := s.DataVertices[i]
 		if e.g.Degree(dv) < e.p.Degree(pv) {
-			ctx.AddCounter("pruned_degree", 1)
+			ctx.Add(ctrPrunedDegree, 1)
 			return m, false
 		}
 		if e.opts.DataLabels != nil && int(e.opts.DataLabels[dv]) != e.p.Label(pv) {
-			ctx.AddCounter("pruned_label", 1)
+			ctx.Add(ctrPrunedLabel, 1)
 			return m, false
 		}
 		m.Map[pv] = dv
@@ -346,15 +395,15 @@ func (e *engine) seedGpsi(ctx *bsp.Context[gpsi], s Seed) (gpsi, bool) {
 		for _, qv := range s.PatternVertices[i+1:] {
 			dv := m.Map[qv]
 			if e.p.MustPrecede(pv, qv) && !e.ord.Less(du, dv) {
-				ctx.AddCounter("pruned_order", 1)
+				ctx.Add(ctrPrunedOrder, 1)
 				return m, false
 			}
 			if e.p.MustPrecede(qv, pv) && !e.ord.Less(dv, du) {
-				ctx.AddCounter("pruned_order", 1)
+				ctx.Add(ctrPrunedOrder, 1)
 				return m, false
 			}
 			if e.p.HasEdge(pv, qv) && !e.g.HasEdge(du, dv) {
-				ctx.AddCounter("pruned_verify", 1)
+				ctx.Add(ctrPrunedVerify, 1)
 				return m, false
 			}
 		}
@@ -422,19 +471,19 @@ func (e *engine) expandRun(ctx *bsp.Context[gpsi], run []bsp.Envelope[gpsi]) {
 			nw++
 		}
 	}
-	ctx.AddCounter("group_runs", 1)
-	ctx.AddCounter("group_members", int64(len(run)))
+	ctx.Add(ctrGroupRuns, 1)
+	ctx.Add(ctrGroupMembers, int64(len(run)))
 	for k := 0; k < nw; k++ {
 		wv := whites[k]
 		minDeg := e.p.Degree(wv)
 		b := sc.baseCands[k][:0]
 		for _, d := range e.g.Neighbors(vd) {
 			if e.g.Degree(d) < minDeg {
-				ctx.AddCounter("pruned_degree", 1)
+				ctx.Add(ctrPrunedDegree, 1)
 				continue
 			}
 			if e.opts.DataLabels != nil && int(e.opts.DataLabels[d]) != e.p.Label(wv) {
-				ctx.AddCounter("pruned_label", 1)
+				ctx.Add(ctrPrunedLabel, 1)
 				continue
 			}
 			b = append(b, d)
@@ -458,7 +507,7 @@ func (e *engine) expandRun(ctx *bsp.Context[gpsi], run []bsp.Envelope[gpsi]) {
 // path — never the bitset AND — so the refined sets equal the flat merge
 // path's exactly.
 func (e *engine) expandShared(ctx *bsp.Context[gpsi], m gpsi, whites []int) {
-	ctx.AddCounter("processed", 1)
+	ctx.Add(ctrProcessed, 1)
 	w := ctx.Worker()
 	vp := int(m.Next)
 	vd := m.Map[vp]
@@ -473,7 +522,7 @@ func (e *engine) expandShared(ctx *bsp.Context[gpsi], m gpsi, whites []int) {
 			continue
 		}
 		if !e.bitmap.HasEdge(vd, m.Map[u]) {
-			ctx.AddCounter("pruned_verify", 1)
+			ctx.Add(ctrPrunedVerify, 1)
 			return
 		}
 		m.Pending &^= 1 << uint(eid)
@@ -513,35 +562,25 @@ func (e *engine) expandShared(ctx *bsp.Context[gpsi], m gpsi, whites []int) {
 // base that already passed the degree and label filters. It mirrors the merge
 // path of candidates exactly, minus the filters the base absorbed.
 func (e *engine) refineCandidates(ctx *bsp.Context[gpsi], m *gpsi, vp, wv int, base []graph.VertexID, out []graph.VertexID) []graph.VertexID {
+	lo, hi := e.rankWindow(m, wv)
 	for _, d := range base {
 		if m.uses(d) {
-			ctx.AddCounter("pruned_injective", 1)
+			ctx.Add(ctrPrunedInjective, 1)
+			continue
+		}
+		if r := e.ord.Rank(d); r <= lo || r >= hi {
+			ctx.Add(ctrPrunedOrder, 1)
 			continue
 		}
 		ok := true
-		for u := 0; u < e.p.N() && ok; u++ {
-			if u == wv || !m.isMapped(u) {
-				continue
-			}
-			if e.p.MustPrecede(wv, u) && !e.ord.Less(d, m.Map[u]) {
-				ctx.AddCounter("pruned_order", 1)
-				ok = false
-			} else if e.p.MustPrecede(u, wv) && !e.ord.Less(m.Map[u], d) {
-				ctx.AddCounter("pruned_order", 1)
-				ok = false
-			}
-		}
-		if !ok {
-			continue
-		}
 		if e.ix != nil {
 			for _, u := range e.p.Neighbors(wv) {
 				if u == vp || !m.isMapped(u) {
 					continue
 				}
-				ctx.AddCounter("index_queries", 1)
+				ctx.Add(ctrIndexQueries, 1)
 				if !e.ix.MayHaveEdge(d, m.Map[u]) {
-					ctx.AddCounter("pruned_index", 1)
+					ctx.Add(ctrPrunedIndex, 1)
 					ok = false
 					break
 				}
@@ -558,7 +597,7 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 	if e.oomErr.Load() != nil || e.stopped.Load() {
 		return
 	}
-	ctx.AddCounter("processed", 1)
+	ctx.Add(ctrProcessed, 1)
 	w := ctx.Worker()
 	vp := int(m.Next)
 	vd := m.Map[vp]
@@ -576,7 +615,7 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 			continue
 		}
 		if !e.bitmap.HasEdge(vd, m.Map[u]) {
-			ctx.AddCounter("pruned_verify", 1)
+			ctx.Add(ctrPrunedVerify, 1)
 			return
 		}
 		m.Pending &^= 1 << uint(eid)
@@ -647,48 +686,38 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, vp int, vd graph.Ve
 				}
 			}
 			if nHub > 0 {
-				ctx.AddCounter("bitset_and", 1)
+				ctx.Add(ctrBitsetAnd, 1)
 				return e.candidatesBitset(ctx, m, vp, wv, minDeg, rowVd, hubRows[:nHub], hubMask, out)
 			}
 		}
 	}
+	lo, hi := e.rankWindow(m, wv)
 	for _, d := range e.g.Neighbors(vd) {
 		if e.g.Degree(d) < minDeg {
-			ctx.AddCounter("pruned_degree", 1)
+			ctx.Add(ctrPrunedDegree, 1)
 			continue
 		}
 		if e.opts.DataLabels != nil && int(e.opts.DataLabels[d]) != e.p.Label(wv) {
-			ctx.AddCounter("pruned_label", 1)
+			ctx.Add(ctrPrunedLabel, 1)
 			continue
 		}
 		if m.uses(d) {
-			ctx.AddCounter("pruned_injective", 1)
+			ctx.Add(ctrPrunedInjective, 1)
+			continue
+		}
+		if r := e.ord.Rank(d); r <= lo || r >= hi {
+			ctx.Add(ctrPrunedOrder, 1)
 			continue
 		}
 		ok := true
-		for u := 0; u < e.p.N() && ok; u++ {
-			if u == wv || !m.isMapped(u) {
-				continue
-			}
-			if e.p.MustPrecede(wv, u) && !e.ord.Less(d, m.Map[u]) {
-				ctx.AddCounter("pruned_order", 1)
-				ok = false
-			} else if e.p.MustPrecede(u, wv) && !e.ord.Less(m.Map[u], d) {
-				ctx.AddCounter("pruned_order", 1)
-				ok = false
-			}
-		}
-		if !ok {
-			continue
-		}
 		if e.ix != nil {
 			for _, u := range e.p.Neighbors(wv) {
 				if u == vp || !m.isMapped(u) {
 					continue
 				}
-				ctx.AddCounter("index_queries", 1)
+				ctx.Add(ctrIndexQueries, 1)
 				if !e.ix.MayHaveEdge(d, m.Map[u]) {
-					ctx.AddCounter("pruned_index", 1)
+					ctx.Add(ctrPrunedIndex, 1)
 					ok = false
 					break
 				}
@@ -708,6 +737,7 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, vp int, vd graph.Ve
 // have no row; their edges are still verified exactly later). The word loop
 // is inlined — no IterateSet closure — to keep the hot path allocation-free.
 func (e *engine) candidatesBitset(ctx *bsp.Context[gpsi], m *gpsi, vp, wv, minDeg int, rowVd []uint64, hubRows [][]uint64, hubMask uint32, out []graph.VertexID) []graph.VertexID {
+	lo, hi := e.rankWindow(m, wv)
 	for i, word := range rowVd {
 		for _, r := range hubRows {
 			word &= r[i]
@@ -717,41 +747,30 @@ func (e *engine) candidatesBitset(ctx *bsp.Context[gpsi], m *gpsi, vp, wv, minDe
 			d := graph.VertexID(base + bits.TrailingZeros64(word))
 			word &= word - 1
 			if e.g.Degree(d) < minDeg {
-				ctx.AddCounter("pruned_degree", 1)
+				ctx.Add(ctrPrunedDegree, 1)
 				continue
 			}
 			if e.opts.DataLabels != nil && int(e.opts.DataLabels[d]) != e.p.Label(wv) {
-				ctx.AddCounter("pruned_label", 1)
+				ctx.Add(ctrPrunedLabel, 1)
 				continue
 			}
 			if m.uses(d) {
-				ctx.AddCounter("pruned_injective", 1)
+				ctx.Add(ctrPrunedInjective, 1)
+				continue
+			}
+			if r := e.ord.Rank(d); r <= lo || r >= hi {
+				ctx.Add(ctrPrunedOrder, 1)
 				continue
 			}
 			ok := true
-			for u := 0; u < e.p.N() && ok; u++ {
-				if u == wv || !m.isMapped(u) {
-					continue
-				}
-				if e.p.MustPrecede(wv, u) && !e.ord.Less(d, m.Map[u]) {
-					ctx.AddCounter("pruned_order", 1)
-					ok = false
-				} else if e.p.MustPrecede(u, wv) && !e.ord.Less(m.Map[u], d) {
-					ctx.AddCounter("pruned_order", 1)
-					ok = false
-				}
-			}
-			if !ok {
-				continue
-			}
 			if e.ix != nil {
 				for _, u := range e.p.Neighbors(wv) {
 					if u == vp || !m.isMapped(u) || hubMask&(1<<uint(u)) != 0 {
 						continue
 					}
-					ctx.AddCounter("index_queries", 1)
+					ctx.Add(ctrIndexQueries, 1)
 					if !e.ix.MayHaveEdge(d, m.Map[u]) {
-						ctx.AddCounter("pruned_index", 1)
+						ctx.Add(ctrPrunedIndex, 1)
 						ok = false
 						break
 					}
@@ -763,6 +782,30 @@ func (e *engine) candidatesBitset(ctx *bsp.Context[gpsi], m *gpsi, vp, wv, minDe
 		}
 	}
 	return out
+}
+
+// rankWindow returns the open interval (lo, hi) of ord ranks that the
+// symmetry-breaking order leaves for WHITE vertex wv, given m's mapped
+// vertices: lo is the largest rank among mapped vertices that must precede
+// wv, hi the smallest among mapped vertices that wv must precede. A candidate
+// d satisfies every such pairwise MustPrecede constraint exactly when
+// lo < Rank(d) < hi, so candidate loops pay one compare per vertex instead of
+// a scan over the pattern.
+func (e *engine) rankWindow(m *gpsi, wv int) (lo, hi int32) {
+	lo, hi = -1, math.MaxInt32
+	for u := 0; u < e.p.N(); u++ {
+		if u == wv || !m.isMapped(u) {
+			continue
+		}
+		r := e.ord.Rank(m.Map[u])
+		if e.p.MustPrecede(u, wv) && r > lo {
+			lo = r
+		}
+		if e.p.MustPrecede(wv, u) && r < hi {
+			hi = r
+		}
+	}
+	return lo, hi
 }
 
 // combine enumerates the cross product of the candidate sets, pruning
@@ -780,7 +823,7 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, vp int, preMapped uint
 	wv := whites[i]
 	for _, d := range cands[i] {
 		if m.uses(d) {
-			ctx.AddCounter("pruned_injective", 1)
+			ctx.Add(ctrPrunedInjective, 1)
 			continue
 		}
 		// Checks against pattern vertices mapped earlier in this combine
@@ -791,16 +834,16 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, vp int, preMapped uint
 			u := whites[j]
 			du := m.Map[u]
 			if e.p.MustPrecede(wv, u) && !e.ord.Less(d, du) {
-				ctx.AddCounter("pruned_order", 1)
+				ctx.Add(ctrPrunedOrder, 1)
 				ok = false
 			} else if e.p.MustPrecede(u, wv) && !e.ord.Less(du, d) {
-				ctx.AddCounter("pruned_order", 1)
+				ctx.Add(ctrPrunedOrder, 1)
 				ok = false
 			} else if e.p.HasEdge(wv, u) {
 				if e.ix != nil {
-					ctx.AddCounter("index_queries", 1)
+					ctx.Add(ctrIndexQueries, 1)
 					if !e.ix.MayHaveEdge(d, du) {
-						ctx.AddCounter("pruned_index", 1)
+						ctx.Add(ctrPrunedIndex, 1)
 						ok = false
 						continue
 					}
@@ -837,11 +880,11 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 			sc := &e.scratch[ctx.Worker()]
 			sc.emit = append(sc.emit[:0], m.Map[:m.N]...)
 			if !e.opts.EmitFilter(sc.emit) {
-				ctx.AddCounter("pruned_filter", 1)
+				ctx.Add(ctrPrunedFilter, 1)
 				return
 			}
 		}
-		ctx.AddCounter("results", 1)
+		ctx.Add(ctrResults, 1)
 		if e.opts.OnInstance != nil {
 			// Hand out a reused per-worker buffer, not a view of m: the
 			// callback may leak its argument, and a view would force every
@@ -882,8 +925,8 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 		// Non-level-synchronous mode: the destination is local, so expand
 		// now instead of crossing a superstep barrier. Recursion depth is
 		// bounded by the pattern size (each inline step blackens a vertex).
-		ctx.AddCounter("generated", 1)
-		ctx.AddCounter("inline", 1)
+		ctx.Add(ctrGenerated, 1)
+		ctx.Add(ctrInline, 1)
 		if !e.chargeBudget(ctx) {
 			return
 		}
@@ -935,15 +978,17 @@ func contains(xs []int, x int) bool {
 // enforces the intermediate-result budget.
 func (e *engine) send(ctx *bsp.Context[gpsi], m gpsi) {
 	ctx.Send(m.Map[m.Next], m)
-	ctx.AddCounter("generated", 1)
+	ctx.Add(ctrGenerated, 1)
 	e.chargeBudget(ctx)
 }
 
 // chargeBudget accounts one created Gpsi against MaxIntermediate and reports
-// whether the run may continue.
+// whether the run may continue. Without a budget it touches no shared state.
 func (e *engine) chargeBudget(ctx *bsp.Context[gpsi]) bool {
-	total := e.generated.Add(1)
-	if e.opts.MaxIntermediate > 0 && total > e.opts.MaxIntermediate {
+	if e.opts.MaxIntermediate <= 0 {
+		return true
+	}
+	if e.generated.Add(1) > e.opts.MaxIntermediate {
 		err := ErrOutOfMemory
 		e.oomErr.CompareAndSwap(nil, &err)
 		ctx.Abort(err)
@@ -995,6 +1040,7 @@ func (e *engine) RestoreState(data []byte) error {
 			for j := range e.wviews[w] {
 				e.wviews[w][j] = 0
 			}
+			e.refreshViewPow(w)
 			*e.rngs[w] = *newXorshift(workerRngSeed(e.opts.Seed, w))
 		}
 		e.generated.Store(0)
@@ -1011,6 +1057,9 @@ func (e *engine) RestoreState(data []byte) error {
 	e.loads = st.Loads
 	e.stepLoads = st.StepLoads
 	e.wviews = st.WViews
+	for w := range e.wviews {
+		e.refreshViewPow(w)
+	}
 	for i := range e.rngs {
 		e.rngs[i].state = st.Rng[i]
 	}

@@ -84,10 +84,7 @@ func newHotpathHarnessOpts(p *pattern.Pattern, mutate func(*Options)) (*engine, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cfg := bsp.Config{
-		Workers: e.opts.Workers,
-		Owner:   func(v graph.VertexID) int { return e.part.Owner(v) },
-	}
+	cfg := e.benchConfig()
 	ictx := bsp.NewBenchContext[gpsi](cfg, 0, 0)
 	e.Init(ictx)
 	inbox := append([]bsp.Envelope[gpsi](nil), ictx.Sends(0)...)
@@ -95,6 +92,16 @@ func newHotpathHarnessOpts(p *pattern.Pattern, mutate func(*Options)) (*engine, 
 		return nil, nil, nil, fmt.Errorf("hotpath harness: Init seeded no messages for worker 0")
 	}
 	return e, bsp.NewBenchContext[gpsi](cfg, 0, 1), inbox, nil
+}
+
+// benchConfig is the bsp configuration detached bench contexts of e need:
+// its worker count, ownership and counter table.
+func (e *engine) benchConfig() bsp.Config {
+	return bsp.Config{
+		Workers:  e.opts.Workers,
+		Owner:    func(v graph.VertexID) int { return e.part.Owner(v) },
+		Counters: counterNames[:],
+	}
 }
 
 func benchmarkExpand(b *testing.B) {
@@ -149,10 +156,7 @@ func benchmarkExpandHub(disableBitset bool) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := bsp.Config{
-			Workers: e.opts.Workers,
-			Owner:   func(v graph.VertexID) int { return e.part.Owner(v) },
-		}
+		cfg := e.benchConfig()
 		// Drive step 1 on the Init inbox to produce the second-level Gpsis
 		// (two vertices mapped, one pending WHITE with two mapped neighbors).
 		step1 := bsp.NewBenchContext[gpsi](cfg, 0, 1)
@@ -219,7 +223,7 @@ func (p *stragglerProgram) Init(ctx *bsp.Context[stragglerMsg]) {
 func (p *stragglerProgram) Process(ctx *bsp.Context[stragglerMsg], env bsp.Envelope[stragglerMsg]) {
 	m := env.Msg
 	if m.Round >= p.rounds {
-		ctx.AddCounter("walks", 1)
+		ctx.Add(0, 1) // "walks"
 		return
 	}
 	if ctx.Worker() == int(m.Round)%p.k {
@@ -247,6 +251,7 @@ func benchmarkStragglerExchange(async bool) func(b *testing.B) {
 			Owner:         func(v graph.VertexID) int { return int(v) % workers },
 			MaxSupersteps: rounds + 2,
 			AsyncExchange: async,
+			Counters:      []string{"walks"},
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -299,10 +304,7 @@ func hotpathLevelBatch(p *pattern.Pattern, depth int) ([]bsp.Envelope[gpsi], err
 	if err != nil {
 		return nil, err
 	}
-	cfg := bsp.Config{
-		Workers: e.opts.Workers,
-		Owner:   func(v graph.VertexID) int { return e.part.Owner(v) },
-	}
+	cfg := e.benchConfig()
 	cur := inbox
 	for step := 1; step <= depth; step++ {
 		ctx := bsp.NewBenchContext[gpsi](cfg, 0, step)

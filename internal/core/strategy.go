@@ -15,8 +15,7 @@ func (e *engine) chooseNext(worker int, m *gpsi, grays []int) int {
 		// Still account the load for the workload-aware view.
 		if e.opts.Strategy == StrategyWorkloadAware {
 			k := grays[0]
-			w := e.expandCost(m, k)
-			e.wviews[worker][e.part.Owner(m.Map[k])] += w
+			e.chargeView(worker, e.part.Owner(m.Map[k]), e.expandCost(m, k))
 		}
 		return grays[0]
 	}
@@ -85,17 +84,32 @@ func (e *engine) chooseRoulette(worker int, m *gpsi, grays []int) int {
 // the view local to avoid global synchronization, Section 6), then charge
 // the chosen worker's view.
 func (e *engine) chooseWorkloadAware(worker int, m *gpsi, grays []int) int {
-	view := e.wviews[worker]
-	alpha := e.opts.Alpha
+	pow := e.wpow[worker]
 	best, bestScore, bestCost := -1, math.Inf(1), 0.0
 	for _, k := range grays {
-		j := e.part.Owner(m.Map[k])
 		cost := e.expandCost(m, k)
-		score := math.Pow(view[j], alpha) + cost
+		score := pow[e.part.Owner(m.Map[k])] + cost
 		if score < bestScore {
 			best, bestScore, bestCost = k, score, cost
 		}
 	}
-	view[e.part.Owner(m.Map[best])] += bestCost
+	e.chargeView(worker, e.part.Owner(m.Map[best]), bestCost)
 	return best
+}
+
+// chargeView adds cost to worker's view of worker j's load and refreshes the
+// cached score term wviews^Alpha for that entry.
+func (e *engine) chargeView(worker, j int, cost float64) {
+	e.wviews[worker][j] += cost
+	e.wpow[worker][j] = math.Pow(e.wviews[worker][j], e.opts.Alpha)
+}
+
+// refreshViewPow recomputes every cached score term of worker's view, after
+// the view was reset or restored wholesale.
+func (e *engine) refreshViewPow(worker int) {
+	pow := e.wpow[worker][:0]
+	for _, v := range e.wviews[worker] {
+		pow = append(pow, math.Pow(v, e.opts.Alpha))
+	}
+	e.wpow[worker] = pow
 }

@@ -9,6 +9,16 @@ import (
 	"psgl/internal/pattern"
 )
 
+// Counter ids of the engine's bsp.Context tallies, named by counterNames.
+const (
+	ctrGenerated = iota
+	ctrResults
+	ctrPrunedVerify
+	ctrPrunedLocal
+)
+
+var counterNames = []string{"generated", "results", "pruned_verify", "pruned_local"}
+
 // ohEngine implements bsp.Program[message] for the fixed-order traversal.
 type ohEngine struct {
 	g       *graph.Graph
@@ -72,12 +82,12 @@ func (e *ohEngine) verify(ctx *bsp.Context[message], m message) {
 			continue // the anchor edge holds by construction
 		}
 		if !e.g.HasEdge(vd, m.Match[u]) {
-			ctx.AddCounter("pruned_verify", 1)
+			ctx.Add(ctrPrunedVerify, 1)
 			return
 		}
 	}
 	if pos == len(e.order)-1 {
-		ctx.AddCounter("results", 1)
+		ctx.Add(ctrResults, 1)
 		return
 	}
 	// Route to the next vertex's anchor for extension.
@@ -169,12 +179,12 @@ func (e *ohEngine) extend(ctx *bsp.Context[message], m message) {
 			}
 		}
 		if !ok {
-			ctx.AddCounter("pruned_local", 1)
+			ctx.Add(ctrPrunedLocal, 1)
 			continue
 		}
 		if last && !deferred {
 			// Fully verified in place: a complete instance, no shipping.
-			ctx.AddCounter("results", 1)
+			ctx.Add(ctrResults, 1)
 			continue
 		}
 		child := message{
@@ -201,7 +211,7 @@ func used(match []graph.VertexID, x graph.VertexID) bool {
 
 func (e *ohEngine) send(ctx *bsp.Context[message], dest graph.VertexID, m message) {
 	ctx.Send(dest, m)
-	ctx.AddCounter("generated", 1)
+	ctx.Add(ctrGenerated, 1)
 	if e.budget > 0 && e.generated.Add(1) > e.budget {
 		e.oom.Store(true)
 		ctx.Abort(ErrOutOfMemory)

@@ -126,8 +126,9 @@ func Run(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
 		budget:  opts.MaxIntermediate,
 	}
 	cfg := bsp.Config{
-		Workers: workers,
-		Owner:   func(v graph.VertexID) int { return e.part.Owner(v) },
+		Workers:  workers,
+		Owner:    func(v graph.VertexID) int { return e.part.Owner(v) },
+		Counters: counterNames,
 	}
 	start := time.Now()
 	rs, err := bsp.Run[message](cfg, e)
